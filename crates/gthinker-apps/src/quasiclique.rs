@@ -3,7 +3,7 @@
 //! This is the motivating example of §III: a task spawned from `v`
 //! pulls `Γ(v)` in iteration 1 and the second-hop neighborhood in
 //! iteration 2 — for γ ≥ 0.5 any two members of a γ-quasi-clique are
-//! within 2 hops ([17]) — then mines the 2-hop ego network serially.
+//! within 2 hops (\[17\]) — then mines the 2-hop ego network serially.
 //! Deduplication follows the set-enumeration rule: a quasi-clique is
 //! counted by the task of its minimum vertex.
 //!

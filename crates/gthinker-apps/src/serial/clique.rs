@@ -1,7 +1,7 @@
 //! Serial maximum-clique search on a [`LocalGraph`].
 //!
 //! This is the per-task serial algorithm of Fig. 5 line 12 (the paper
-//! cites the branch-and-bound solver of [31]): Bron–Kerbosch-style
+//! cites the branch-and-bound solver of \[31\]): Bron–Kerbosch-style
 //! expansion with a greedy-coloring upper bound, searching only for
 //! cliques **strictly larger** than a caller-provided lower bound so
 //! that G-thinker's aggregator-broadcast best (`S_max`) prunes the

@@ -2,7 +2,7 @@
 //!
 //! A vertex set `S` is a **γ-quasi-clique** if every `v ∈ S` has at
 //! least `⌈γ·(|S|−1)⌉` neighbors inside `S`. The paper's quasi-clique
-//! application ([17]) mines them with a set-enumeration search over
+//! application (\[17\]) mines them with a set-enumeration search over
 //! each vertex's 2-hop ego network (for γ ≥ 0.5, any two members are
 //! within 2 hops).
 //!

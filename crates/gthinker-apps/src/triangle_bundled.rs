@@ -1,5 +1,5 @@
 //! Triangle counting with **low-degree task bundling** — the paper's
-//! future-work optimization ([38], discussed under Table IV(b)):
+//! future-work optimization (\[38\], discussed under Table IV(b)):
 //! "tasks spawned from many low-degree vertices do not generate large
 //! enough subgraphs to hide IO cost in the computation, but this can
 //! be solved by bundling tasks of low-degree vertices into big tasks".

@@ -9,7 +9,7 @@
 //!
 //! Two programs are provided: triangle counting and maximum clique
 //! finding, both via the standard "send your larger-neighbor list"
-//! exchange ([5], [24] in the paper).
+//! exchange (\[5\], \[24\] in the paper).
 
 use crate::outcome::{RunOutcome, RunStatus};
 use gthinker_graph::graph::Graph;

@@ -1,5 +1,4 @@
-//! TCP data-plane throughput — evented vs threaded ablation
-//! (DESIGN.md §16 "Evented data plane").
+//! TCP data-plane throughput (DESIGN.md §16 "Evented data plane").
 //!
 //! Brings up a 3-worker loopback TCP mesh (one thread per worker, each
 //! owning its own `TcpTransport` over real kernel sockets — the wire
@@ -11,16 +10,15 @@
 //! as it goes; the clock stops when its own sends are out *and* every
 //! expected inbound message has arrived.
 //!
-//! Two backends, same wire format, same workload:
-//! * `evented` — one poll-loop I/O thread per worker, pooled
-//!   seal-once frames, per-peer outbound rings drained with
-//!   `writev`-coalesced batches;
-//! * `threaded` — the legacy plane: one reader thread per peer and
-//!   synchronous locked writes on the sender's own thread.
+//! The data plane under test is the evented one: one poll-loop I/O
+//! thread per worker, pooled seal-once frames, per-peer outbound rings
+//! drained with `writev`-coalesced batches.
 //!
-//! Reports per-backend messages/sec, bytes/sec and the evented plane's
-//! coalescing counters, and emits `BENCH_net.json` with the
-//! evented-vs-threaded throughput ratio.
+//! Reports messages/sec, bytes/sec and the coalescing counters, and
+//! emits `BENCH_net.json`. Before overwriting it, reads the evented
+//! msgs/sec already in that file and, when the workload matches,
+//! reports the new figure against it (`msgs_per_sec_vs_previous`),
+//! next to every rep's msgs/sec so the host's noise shows.
 //!
 //! `cargo run -p gthinker-bench --release --bin net_throughput
 //! [--scale f] [--smoke]`
@@ -28,7 +26,7 @@
 use gthinker_graph::ids::{VertexId, WorkerId};
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::message::Message;
-use gthinker_net::tcp::{ClusterManifest, TcpBackend, TcpTransport};
+use gthinker_net::tcp::{ClusterManifest, TcpTransport};
 use gthinker_net::transport::{NetEndpoint, Transport};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -36,8 +34,8 @@ use std::time::{Duration, Instant};
 const WORKERS: usize = 3;
 const RENDEZVOUS: Duration = Duration::from_secs(10);
 const RECV: Duration = Duration::from_millis(1);
-/// Sends between inbox drains; keeps the threaded backend's
-/// synchronous writes from filling kernel socket buffers unread.
+/// Sends between inbox drains; keeps inbound frames from piling up in
+/// kernel socket buffers unread.
 const DRAIN_EVERY: usize = 64;
 
 fn pull(from: u16, v: u32) -> Message {
@@ -59,9 +57,8 @@ struct Lane {
     backpressure_stalls: u64,
 }
 
-/// Per-backend aggregate over the mesh.
+/// One rep's aggregate over the mesh.
 struct Run {
-    backend: TcpBackend,
     wall: Duration,
     msgs: u64,
     bytes: u64,
@@ -72,7 +69,7 @@ struct Run {
     backpressure_stalls: u64,
 }
 
-fn run_backend(backend: TcpBackend, per_link: usize, bcasts: usize) -> Run {
+fn run_mesh(per_link: usize, bcasts: usize) -> Run {
     let (manifest, listeners) = ClusterManifest::loopback(WORKERS).expect("bind loopback");
     let expect = (WORKERS - 1) * (per_link + bcasts);
     let handles: Vec<_> = listeners
@@ -82,13 +79,12 @@ fn run_backend(backend: TcpBackend, per_link: usize, bcasts: usize) -> Run {
             let manifest = manifest.clone();
             std::thread::spawn(move || {
                 let me = WorkerId(w as u16);
-                let mut t = TcpTransport::connect_on_with(
+                let mut t = TcpTransport::connect_on(
                     &manifest,
                     me,
                     FaultConfig::default(),
                     RENDEZVOUS,
                     listener,
-                    backend,
                 )
                 .expect("rendezvous");
                 let net = t.take_endpoint(me);
@@ -98,14 +94,13 @@ fn run_backend(backend: TcpBackend, per_link: usize, bcasts: usize) -> Run {
         .collect();
     let lanes: Vec<Lane> = handles.into_iter().map(|h| h.join().expect("worker")).collect();
     for (w, l) in lanes.iter().enumerate() {
-        assert_eq!(l.received, expect, "worker {w} lost messages under {backend}");
+        assert_eq!(l.received, expect, "worker {w} lost messages");
     }
     let wall = lanes.iter().map(|l| l.wall).max().unwrap();
     let msgs = (WORKERS * expect) as u64;
     let bytes = lanes.iter().map(|l| l.bytes_sent).sum();
     let secs = wall.as_secs_f64().max(1e-9);
     Run {
-        backend,
         wall,
         msgs,
         bytes,
@@ -118,7 +113,7 @@ fn run_backend(backend: TcpBackend, per_link: usize, bcasts: usize) -> Run {
 }
 
 /// The per-worker send/receive loop. Interleaves draining with
-/// sending so neither backend can deadlock on full socket buffers.
+/// sending so no lane can deadlock on full socket buffers.
 fn blast(net: &dyn NetEndpoint, me: u16, per_link: usize, bcasts: usize, expect: usize) -> Lane {
     let peers: Vec<u16> = (0..WORKERS as u16).filter(|&p| p != me).collect();
     let mut received = 0usize;
@@ -197,41 +192,43 @@ fn json_run(r: &Run) -> String {
     )
 }
 
+/// The evented msgs/sec recorded in a previous `BENCH_net.json`, if
+/// that file measured the same `workload`.
+fn previous_msgs_per_sec(json: &str, workload: &str) -> Option<f64> {
+    if !json.contains(&format!("\"workload\": \"{workload}\"")) {
+        return None;
+    }
+    let evented = &json[json.find("\"evented\"")?..];
+    let rest = &evented[evented.find("\"msgs_per_sec\": ")? + "\"msgs_per_sec\": ".len()..];
+    rest[..rest.find([',', '}'])?].trim().parse().ok()
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let scale = gthinker_bench::scale_from_args(1.0);
     let per_link = if smoke { 2_000 } else { (40_000.0 * scale) as usize }.max(100);
     let bcasts = per_link / 10;
     let reps = if smoke { 1 } else { 3 };
+    let workload = format!(
+        "{WORKERS} workers loopback, {per_link} unicasts per link + {bcasts} broadcasts per \
+         worker, 4-vertex pull frames"
+    );
 
     println!(
         "net_throughput: {WORKERS}-worker loopback TCP mesh, {per_link} unicasts per link + \
          {bcasts} broadcasts per worker, ~76 B frames; best of {reps} rep(s)\n"
     );
 
-    // Alternate backends rep by rep so neither benefits from a warmer
-    // page cache; keep each backend's best run.
-    let mut best: Vec<Option<Run>> = vec![None, None];
-    for _ in 0..reps {
-        for (slot, backend) in [TcpBackend::Evented, TcpBackend::Threaded].into_iter().enumerate() {
-            let r = run_backend(backend, per_link, bcasts);
-            if best[slot].as_ref().is_none_or(|b| r.msgs_per_sec > b.msgs_per_sec) {
-                best[slot] = Some(r);
-            }
-        }
-    }
-    let evented = best[0].take().unwrap();
-    let threaded = best[1].take().unwrap();
-
+    let runs: Vec<Run> = (0..reps).map(|_| run_mesh(per_link, bcasts)).collect();
     println!(
-        "{:>9} | {:>9} {:>12} {:>12} | {:>8} {:>10} {:>7}",
-        "backend", "wall ms", "msgs/sec", "bytes/sec", "writev", "coalesced", "stalls"
+        "{:>5} | {:>9} {:>12} {:>12} | {:>8} {:>10} {:>7}",
+        "rep", "wall ms", "msgs/sec", "bytes/sec", "writev", "coalesced", "stalls"
     );
-    gthinker_bench::rule(80);
-    for r in [&evented, &threaded] {
+    gthinker_bench::rule(76);
+    for (i, r) in runs.iter().enumerate() {
         println!(
-            "{:>9} | {:>9.1} {:>12.0} {:>12.0} | {:>8} {:>10} {:>7}",
-            r.backend.to_string(),
+            "{:>5} | {:>9.1} {:>12.0} {:>12.0} | {:>8} {:>10} {:>7}",
+            i,
             r.wall.as_secs_f64() * 1e3,
             r.msgs_per_sec,
             r.bytes_per_sec,
@@ -240,30 +237,45 @@ fn main() {
             r.backpressure_stalls,
         );
     }
-    let ratio = evented.msgs_per_sec / threaded.msgs_per_sec.max(1e-9);
-    println!("\nmsgs/sec evented/threaded = {ratio:.2}");
+    let rep_rates: Vec<String> = runs.iter().map(|r| format!("{:.1}", r.msgs_per_sec)).collect();
+    let best = runs.into_iter().max_by(|a, b| a.msgs_per_sec.total_cmp(&b.msgs_per_sec)).unwrap();
+
+    let previous = std::fs::read_to_string("BENCH_net.json")
+        .ok()
+        .and_then(|json| previous_msgs_per_sec(&json, &workload));
+    let vs_previous = previous.map(|p| best.msgs_per_sec / p.max(1e-9));
+    match vs_previous {
+        Some(v) => println!(
+            "\nbest msgs/sec {:.0} vs previous BENCH_net.json {:.0} = {v:.2}x",
+            best.msgs_per_sec,
+            previous.unwrap_or_default()
+        ),
+        None => {
+            println!("\nno previous BENCH_net.json figure for this workload to compare against")
+        }
+    }
+    let opt = |x: Option<f64>, prec: usize| x.map_or("null".into(), |x| format!("{x:.prec$}"));
 
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"net_throughput\",\n",
-            "  \"workload\": \"{} workers loopback, {} unicasts per link + {} broadcasts per \
-             worker, 4-vertex pull frames\",\n",
+            "  \"workload\": \"{}\",\n",
             "  \"smoke\": {},\n",
             "  \"reps\": {},\n",
             "  \"evented\": {},\n",
-            "  \"threaded\": {},\n",
-            "  \"msgs_per_sec_ratio_evented_vs_threaded\": {:.3}\n",
+            "  \"reps_msgs_per_sec\": [{}],\n",
+            "  \"previous_msgs_per_sec\": {},\n",
+            "  \"msgs_per_sec_vs_previous\": {}\n",
             "}}\n"
         ),
-        WORKERS,
-        per_link,
-        bcasts,
+        workload,
         smoke,
         reps,
-        json_run(&evented),
-        json_run(&threaded),
-        ratio,
+        json_run(&best),
+        rep_rates.join(", "),
+        opt(previous, 1),
+        opt(vs_previous, 3),
     );
     std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
     println!("wrote BENCH_net.json");

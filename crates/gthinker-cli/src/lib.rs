@@ -27,10 +27,7 @@ use gthinker_apps::{
     QuasiCliqueApp, TriangleApp, TriangleListApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{
-    run_worker_process_source_observed, run_worker_process_source_recovering_observed, ClusterRole,
-    ClusterTelemetry, RecoveryOptions,
-};
+use gthinker_core::{run_worker_process, ClusterRole, ClusterTelemetry, RecoveryOptions};
 use gthinker_graph::compressed::{build_from_edge_stream, write_compressed, CompressedGraph};
 use gthinker_graph::datasets::{self, DatasetKind};
 use gthinker_graph::gen;
@@ -40,7 +37,6 @@ use gthinker_graph::load;
 use gthinker_graph::order::degeneracy_relabel;
 use gthinker_graph::stats::GraphStats;
 use gthinker_net::fault::CrashSchedule;
-use gthinker_net::tcp::TcpBackend;
 use gthinker_net::ClusterManifest;
 use std::io::Write;
 use std::path::Path;
@@ -399,11 +395,9 @@ a multi-process cluster job runs one OS process per host:port in
 --hosts; every process gets the same graph file and miner options, the
 master is worker 0 and prints the result, each worker prints its own
 byte counters. --connect-timeout SECS (default 30) bounds the
-rendezvous. --net-backend {threaded,evented} picks the TCP data plane:
-evented (default) runs one poll-loop I/O thread per process with pooled
-frames and vectored writes; threaded is the legacy
-thread-per-peer-per-direction plane. the master also accepts
-live-telemetry flags:
+rendezvous. each process drives all of its peer sockets from one
+poll-loop I/O thread with pooled frames and vectored writes. the master
+also accepts live-telemetry flags:
   --status                  print a cluster progress line to stderr
                             every second (remaining tasks, idle
                             compers, steals in flight, bytes/sec)
@@ -666,7 +660,7 @@ fn cmd_mcf(mut args: Vec<String>) -> Result<String, CliError> {
     let tau: usize = take_parsed(&mut args, "--tau")?.unwrap_or(40_000);
     let path = args.first().ok_or_else(|| CliError("mcf: missing FILE".into()))?;
     let input = open_graph_input(path)?;
-    let r = run_job_on(Arc::new(MaxCliqueApp::with_tau(tau)), input.source(), &job_config(&opts))
+    let r = run_job(Arc::new(MaxCliqueApp::with_tau(tau)), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
     let extra = export_metrics(&opts.metrics, &r.metrics)?;
     Ok(format!(
@@ -687,7 +681,7 @@ fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
     if let Some(dir) = list_dir {
         // Enumeration mode: stream every triangle to part files.
         cfg.output_dir = Some(dir.clone().into());
-        let r = run_job_on(Arc::new(TriangleListApp), input.source(), &cfg)
+        let r = run_job(Arc::new(TriangleListApp), input.source(), &cfg)
             .map_err(|e| CliError(format!("job failed: {e}")))?;
         let emitted: u64 = r.workers.iter().map(|w| w.output_records).sum();
         let extra = export_metrics(&opts.metrics, &r.metrics)?;
@@ -697,11 +691,11 @@ fn cmd_tc(mut args: Vec<String>) -> Result<String, CliError> {
         ));
     }
     let (count, elapsed, tasks, metrics) = if bundle > 0 {
-        let r = run_job_on(Arc::new(BundledTriangleApp::new(bundle)), input.source(), &cfg)
+        let r = run_job(Arc::new(BundledTriangleApp::new(bundle)), input.source(), &cfg)
             .map_err(|e| CliError(format!("job failed: {e}")))?;
         (r.global, r.elapsed, r.total_tasks(), r.metrics)
     } else {
-        let r = run_job_on(Arc::new(TriangleApp), input.source(), &cfg)
+        let r = run_job(Arc::new(TriangleApp), input.source(), &cfg)
             .map_err(|e| CliError(format!("job failed: {e}")))?;
         (r.global, r.elapsed, r.total_tasks(), r.metrics)
     };
@@ -713,7 +707,7 @@ fn cmd_mc(mut args: Vec<String>) -> Result<String, CliError> {
     let opts = mine_opts(&mut args)?;
     let path = args.first().ok_or_else(|| CliError("mc: missing FILE".into()))?;
     let input = open_graph_input(path)?;
-    let r = run_job_on(Arc::new(MaximalCliqueApp), input.source(), &job_config(&opts))
+    let r = run_job(Arc::new(MaximalCliqueApp), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
     let extra = export_metrics(&opts.metrics, &r.metrics)?;
     Ok(format!("maximal cliques: {} in {:.2?}{extra}", r.global, r.elapsed))
@@ -727,12 +721,9 @@ fn cmd_qc(mut args: Vec<String>) -> Result<String, CliError> {
     let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(5);
     let path = args.first().ok_or_else(|| CliError("qc: missing FILE".into()))?;
     let input = open_graph_input(path)?;
-    let r = run_job_on(
-        Arc::new(QuasiCliqueApp::new(gamma, min, max)),
-        input.source(),
-        &job_config(&opts),
-    )
-    .map_err(|e| CliError(format!("job failed: {e}")))?;
+    let r =
+        run_job(Arc::new(QuasiCliqueApp::new(gamma, min, max)), input.source(), &job_config(&opts))
+            .map_err(|e| CliError(format!("job failed: {e}")))?;
     let extra = export_metrics(&opts.metrics, &r.metrics)?;
     Ok(format!(
         "γ={gamma} quasi-cliques of size {min}..{max}: {} in {:.2?}{extra}",
@@ -748,7 +739,7 @@ fn cmd_kp(mut args: Vec<String>) -> Result<String, CliError> {
     let max: usize = take_parsed(&mut args, "--max")?.unwrap_or(min + 2);
     let path = args.first().ok_or_else(|| CliError("kp: missing FILE".into()))?;
     let input = open_graph_input(path)?;
-    let r = run_job_on(Arc::new(KPlexApp::new(k, min, max)), input.source(), &job_config(&opts))
+    let r = run_job(Arc::new(KPlexApp::new(k, min, max)), input.source(), &job_config(&opts))
         .map_err(|e| CliError(format!("job failed: {e}")))?;
     let extra = export_metrics(&opts.metrics, &r.metrics)?;
     Ok(format!(
@@ -768,7 +759,7 @@ fn cmd_gm(mut args: Vec<String>) -> Result<String, CliError> {
         .labels()
         .ok_or_else(|| CliError("gm: the data graph must be labeled (gen --labels K)".into()))?;
     let r =
-        run_job_on(Arc::new(MatchingApp::new(pattern, labels)), input.source(), &job_config(&opts))
+        run_job(Arc::new(MatchingApp::new(pattern, labels)), input.source(), &job_config(&opts))
             .map_err(|e| CliError(format!("job failed: {e}")))?;
     let extra = export_metrics(&opts.metrics, &r.metrics)?;
     Ok(format!("embeddings of {spec}: {} in {:.2?}{extra}", r.global, r.elapsed))
@@ -913,31 +904,20 @@ fn run_cluster<A: App>(
             spawn_telemetry_endpoint(&addr, telemetry);
         }
     };
-    let (role, recovery) = match seat.recovery {
-        Some(opts) => run_worker_process_source_recovering_observed(
-            Arc::new(app),
-            input.source(),
-            cfg,
-            &seat.manifest,
-            seat.me,
-            seat.timeout,
-            opts,
-            on_telemetry,
-        )
-        .map(|(role, report)| (role, Some(report)))
-        .map_err(|e| CliError(format!("cluster job failed: {e}")))?,
-        None => run_worker_process_source_observed(
-            Arc::new(app),
-            input.source(),
-            cfg,
-            &seat.manifest,
-            seat.me,
-            seat.timeout,
-            on_telemetry,
-        )
-        .map(|role| (role, None))
-        .map_err(|e| CliError(format!("cluster job failed: {e}")))?,
-    };
+    let listener = std::net::TcpListener::bind(seat.manifest.addr(seat.me))
+        .map_err(|e| CliError(format!("cluster job failed: {e}")))?;
+    let (role, recovery) = run_worker_process(
+        Arc::new(app),
+        input.source(),
+        cfg,
+        &seat.manifest,
+        seat.me,
+        seat.timeout,
+        listener,
+        seat.recovery,
+        Some(Box::new(on_telemetry)),
+    )
+    .map_err(|e| CliError(format!("cluster job failed: {e}")))?;
     let recovery_line = recovery.map_or(String::new(), |r| {
         format!(
             "\nrecovery: {} recoveries, {} checkpoints, failed workers {:?}",
@@ -1010,7 +990,8 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             return err("--checkpoint-interval must be a positive number of seconds");
         }
     }
-    let max_recoveries: u32 = take_parsed(&mut args, "--max-recoveries")?.unwrap_or(8);
+    let max_recoveries: u32 = take_parsed(&mut args, "--max-recoveries")?
+        .unwrap_or(RecoveryOptions::default().max_recoveries);
     let generation: u32 = take_parsed(&mut args, "--generation")?.unwrap_or(0);
     let rejoin = take_switch(&mut args, "--rejoin");
     if rejoin && generation == 0 {
@@ -1028,10 +1009,6 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             "master: --die-after-* targets a worker; the master hosts the failure detector",
         );
     }
-    let net_backend = match take_flag(&mut args, "--net-backend")? {
-        Some(s) => s.parse::<TcpBackend>().map_err(CliError)?,
-        None => TcpBackend::default(),
-    };
 
     let mut opts = mine_opts(&mut args)?;
     // The live views need periodic reports; default them on when a view
@@ -1053,7 +1030,6 @@ fn cmd_cluster(is_master: bool, mut args: Vec<String>) -> Result<String, CliErro
             after: die_after_ms.map(Duration::from_millis),
         });
     }
-    cfg.net_backend = net_backend;
     let seat = ClusterSeat {
         manifest,
         me: WorkerId(me as u16),
@@ -1402,30 +1378,6 @@ mod tests {
         assert_eq!(job_config(&o).report_interval, Some(Duration::from_millis(500)));
         // Default: final-only reports.
         assert_eq!(job_config(&MineOpts::default()).report_interval, None);
-    }
-
-    #[test]
-    fn net_backend_flag_validates() {
-        // An unknown backend is rejected at parse time, before any
-        // sockets are dialed.
-        let e = run(args(&[
-            "worker",
-            "--hosts",
-            "127.0.0.1:19031,127.0.0.1:19032",
-            "--me",
-            "1",
-            "--net-backend",
-            "fibers",
-            "tc",
-            "g.el",
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("net backend"), "{e}");
-        // Both real backends parse; evented is the default.
-        assert_eq!("threaded".parse::<TcpBackend>(), Ok(TcpBackend::Threaded));
-        assert_eq!("evented".parse::<TcpBackend>(), Ok(TcpBackend::Evented));
-        assert_eq!(TcpBackend::default(), TcpBackend::Evented);
-        assert_eq!(job_config(&MineOpts::default()).net_backend, TcpBackend::Evented);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub trait App: Send + Sync + 'static {
     /// vertices. The default forwards to [`App::task_spawn`] per
     /// vertex; override it to **bundle** several low-degree vertices
     /// into one task — the optimization the paper names as future work
-    /// (its [38]) for the many-small-tasks regime where per-task
+    /// (its \[38\]) for the many-small-tasks regime where per-task
     /// subgraphs are too small to hide pull latency.
     fn task_spawn_batch(
         &self,

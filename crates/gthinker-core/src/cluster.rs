@@ -1,6 +1,7 @@
 //! Multi-process job execution over the TCP backend.
 //!
-//! [`run_worker_process`] is the per-process counterpart of
+//! [`run_worker_process`] (and its plain shorthand
+//! [`run_worker_process_source_on`]) is the per-process counterpart of
 //! [`crate::job::run_job`]: every OS process in the cluster calls it
 //! with the **same** graph, config and [`ClusterManifest`], plus its own
 //! worker ID. Each process loads and trims the graph, hash-partitions
@@ -27,7 +28,7 @@
 //!   a crash schedule *really kills the process* (`process::abort`) at
 //!   the same logical trigger the sim backend uses.
 //!
-//! # Crash recovery ([`run_worker_process_recovering`])
+//! # Crash recovery ([`run_worker_process`] with [`RecoveryOptions`])
 //!
 //! The recovery runner wraps the per-process job in an attempt loop —
 //! the multi-process counterpart of [`crate::job::run_job_with_recovery`]:
@@ -55,11 +56,10 @@ use crate::checkpoint::{self, Manifest};
 use crate::config::{JobConfig, JobOutcome, JobResult, WorkerStats};
 use crate::job::GraphSource;
 use crate::job::{
-    build_locals, build_worker, new_job_dir, worker_main, Global, Partial, RecoveryReport,
-    WorkerOutcome, DEFAULT_HEARTBEAT,
+    build_locals, build_worker, new_job_dir, restore_shard, worker_main, Global, Partial,
+    RecoveryReport, WorkerOutcome, DEFAULT_HEARTBEAT,
 };
 use crate::metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot};
-use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::WorkerId;
 use gthinker_graph::partition::HashPartitioner;
 use gthinker_net::message::Message;
@@ -87,112 +87,64 @@ pub enum ClusterRole<G> {
 }
 
 /// Observer hook handed the master's live [`ClusterTelemetry`] before
-/// the job starts (status lines, scrape endpoints).
-type TelemetryHook = Box<dyn FnOnce(Arc<ClusterTelemetry>)>;
+/// the job starts (status lines, scrape endpoints). Fires on worker 0
+/// only — the master is the only process that aggregates reports.
+pub type TelemetryHook = Box<dyn FnOnce(Arc<ClusterTelemetry>)>;
 
-/// Runs this process's worker of a multi-process job, blocking until
-/// the master's termination (or failure) protocol shuts it down.
-/// `connect_timeout` bounds the cluster rendezvous, not the job.
-pub fn run_worker_process<A: App>(
+/// Runs this process's worker of a multi-process job on a pre-bound
+/// `listener` (bind `manifest.addr(me)`, or see
+/// [`ClusterManifest::loopback`]), blocking until the master's
+/// termination (or failure) protocol shuts it down. `connect_timeout`
+/// bounds the cluster rendezvous, not the job. A process handed a
+/// memory-mapped compressed graph opens its own mapping (maps are
+/// per-process) and serves its partition lazily from it.
+///
+/// [`run_worker_process`] with neither recovery nor a telemetry hook.
+pub fn run_worker_process_source_on<'a, A: App>(
     app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-) -> io::Result<ClusterRole<Global<A>>> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
-    run_worker_process_on(app, graph, config, manifest, me, connect_timeout, listener)
-}
-
-/// [`run_worker_process`] with a pre-bound listener (see
-/// [`ClusterManifest::loopback`]); tests use this to avoid port races.
-pub fn run_worker_process_on<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
     manifest: &ClusterManifest,
     me: WorkerId,
     connect_timeout: Duration,
     listener: TcpListener,
 ) -> io::Result<ClusterRole<Global<A>>> {
-    run_worker_process_source_on(
-        app,
-        GraphSource::InMemory(graph),
-        config,
-        manifest,
-        me,
-        connect_timeout,
-        listener,
-    )
+    run_worker_process(app, source, config, manifest, me, connect_timeout, listener, None, None)
+        .map(|(role, _)| role)
 }
 
-/// [`run_worker_process`] over an explicit [`GraphSource`]: a process
-/// handed a memory-mapped compressed graph opens its own mapping (maps
-/// are per-process) and serves its partition lazily from it.
-pub fn run_worker_process_source<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-) -> io::Result<ClusterRole<Global<A>>> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
-    run_worker_process_source_on(app, source, config, manifest, me, connect_timeout, listener)
-}
-
-/// [`run_worker_process_source`] with a pre-bound listener.
-pub fn run_worker_process_source_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-    listener: TcpListener,
-) -> io::Result<ClusterRole<Global<A>>> {
-    run_cluster_inner(app, source, config, manifest, me, connect_timeout, listener, None)
-}
-
-/// [`run_worker_process_source`] that additionally hands the master's
-/// live [`ClusterTelemetry`] to `on_telemetry` before the job starts —
-/// the hook for `--status` progress lines and the `--telemetry-addr`
-/// scrape endpoint. The hook only fires on worker 0 (the master is the
-/// only process that aggregates reports).
-pub fn run_worker_process_source_observed<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-    on_telemetry: impl FnOnce(Arc<ClusterTelemetry>) + 'static,
-) -> io::Result<ClusterRole<Global<A>>> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
-    run_cluster_inner(
-        app,
-        source,
-        config,
-        manifest,
-        me,
-        connect_timeout,
-        listener,
-        Some(Box::new(on_telemetry)),
-    )
-}
-
+/// Runs this process's worker of a multi-process job (see
+/// [`run_worker_process_source_on`]), optionally crash-surviving and
+/// optionally observed.
+///
+/// * `recovery: Some(opts)` runs the job in checkpointed segments: a
+///   dead peer triggers an abort-to-checkpoint broadcast instead of job
+///   failure, and every process (the survivors plus the respawned
+///   replacement, which passes a bumped [`RecoveryOptions::generation`])
+///   re-rendezvouses and resumes from the last epoch the master
+///   validated. Requires [`JobConfig::checkpoint_dir`] — a directory
+///   visible to every process (the paper's HDFS analog) that epochs are
+///   written under. The returned [`RecoveryReport`] is `Some` exactly
+///   when recovery was on.
+/// * `on_telemetry` is handed the master's live [`ClusterTelemetry`]
+///   before the job starts — the hook for `--status` progress lines and
+///   the `--telemetry-addr` scrape endpoint.
+///
+/// A `me` outside the manifest, or a manifest whose size disagrees with
+/// `config.num_workers`, is an `InvalidInput` error raised before any
+/// partitioning or dialing.
 #[allow(clippy::too_many_arguments)]
-fn run_cluster_inner<A: App>(
+pub fn run_worker_process<'a, A: App>(
     app: Arc<A>,
-    source: GraphSource<'_>,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
     manifest: &ClusterManifest,
     me: WorkerId,
     connect_timeout: Duration,
     listener: TcpListener,
+    recovery: Option<RecoveryOptions>,
     on_telemetry: Option<TelemetryHook>,
-) -> io::Result<ClusterRole<Global<A>>> {
+) -> io::Result<(ClusterRole<Global<A>>, Option<RecoveryReport>)> {
     assert!(config.num_workers >= 1);
     assert!(config.compers_per_worker >= 1);
     if config.num_workers != manifest.num_workers() {
@@ -205,6 +157,51 @@ fn run_cluster_inner<A: App>(
             ),
         ));
     }
+    if me.index() >= manifest.num_workers() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("worker {me} not in a {}-worker manifest", manifest.num_workers()),
+        ));
+    }
+    let source = source.into();
+    match recovery {
+        Some(opts) => run_cluster_recovering(
+            app,
+            source,
+            config,
+            manifest,
+            me,
+            connect_timeout,
+            listener,
+            opts,
+            on_telemetry,
+        )
+        .map(|(role, report)| (role, Some(report))),
+        None => run_cluster_once(
+            app,
+            source,
+            config,
+            manifest,
+            me,
+            connect_timeout,
+            listener,
+            on_telemetry,
+        )
+        .map(|role| (role, None)),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_cluster_once<A: App>(
+    app: Arc<A>,
+    source: GraphSource<'_>,
+    config: &JobConfig,
+    manifest: &ClusterManifest,
+    me: WorkerId,
+    connect_timeout: Duration,
+    listener: TcpListener,
+    on_telemetry: Option<TelemetryHook>,
+) -> io::Result<ClusterRole<Global<A>>> {
     let start = Instant::now();
 
     // Same pipeline as the in-process runner: trim, then partition
@@ -217,14 +214,8 @@ fn run_cluster_inner<A: App>(
 
     // Rendezvous before building worker state, so a peer that never
     // shows up fails fast instead of after graph setup work.
-    let mut transport = TcpTransport::connect_on_with(
-        manifest,
-        me,
-        config.fault.clone(),
-        connect_timeout,
-        listener,
-        config.net_backend,
-    )?;
+    let mut transport =
+        TcpTransport::connect_on(manifest, me, config.fault.clone(), connect_timeout, listener)?;
     let net = transport.take_endpoint(me);
 
     let job_dir = new_job_dir(config);
@@ -257,12 +248,8 @@ fn run_cluster_inner<A: App>(
     }
 
     if me == WorkerId(0) {
-        let outcome = outcome.expect("master worker returns the job outcome");
-        let (global, job_outcome) = match outcome {
-            WorkerOutcome::Completed(g) => (g, JobOutcome::Completed),
-            WorkerOutcome::Suspended(g, dir) => (g, JobOutcome::Suspended { checkpoint: dir }),
-            WorkerOutcome::Failed(g, w) => (g, JobOutcome::Failed { worker: w }),
-        };
+        let (global, job_outcome) =
+            outcome.expect("master worker returns the job outcome").into_job_outcome();
         let metrics = assemble_cluster_metrics(&telemetry, &registry, me, config.num_workers);
         Ok(ClusterRole::Master(JobResult {
             global,
@@ -304,7 +291,7 @@ fn assemble_cluster_metrics<A: App>(
     MetricsSnapshot { elapsed, workers }
 }
 
-/// Knobs for [`run_worker_process_recovering`].
+/// Knobs for crash recovery in [`run_worker_process`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryOptions {
     /// Recovery rounds (abort-to-checkpoint) tolerated before the job
@@ -323,94 +310,6 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// Crash-surviving variant of [`run_worker_process`]: the per-process
-/// job runs in checkpointed segments, a dead peer triggers an
-/// abort-to-checkpoint broadcast instead of job failure, and every
-/// process (the survivors plus the respawned replacement, which passes
-/// a bumped [`RecoveryOptions::generation`]) re-rendezvouses and
-/// resumes from the last epoch the master validated. Returns the role
-/// payload plus this process's [`RecoveryReport`].
-///
-/// Requires [`JobConfig::checkpoint_dir`] — a directory visible to
-/// every process (the paper's HDFS analog) that epochs are written
-/// under.
-pub fn run_worker_process_recovering<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-    opts: RecoveryOptions,
-) -> io::Result<(ClusterRole<Global<A>>, RecoveryReport)> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
-    run_cluster_recovering(
-        app,
-        GraphSource::InMemory(graph),
-        config,
-        manifest,
-        me,
-        connect_timeout,
-        listener,
-        opts,
-        None,
-    )
-}
-
-/// [`run_worker_process_recovering`] with a pre-bound listener (tests).
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_process_recovering_on<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-    listener: TcpListener,
-    opts: RecoveryOptions,
-) -> io::Result<(ClusterRole<Global<A>>, RecoveryReport)> {
-    run_cluster_recovering(
-        app,
-        GraphSource::InMemory(graph),
-        config,
-        manifest,
-        me,
-        connect_timeout,
-        listener,
-        opts,
-        None,
-    )
-}
-
-/// [`run_worker_process_recovering`] over an explicit [`GraphSource`],
-/// with the master's live [`ClusterTelemetry`] handed to `on_telemetry`
-/// before the first attempt (worker 0 only) — the recovery-capable
-/// counterpart of [`run_worker_process_source_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_worker_process_source_recovering_observed<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    manifest: &ClusterManifest,
-    me: WorkerId,
-    connect_timeout: Duration,
-    opts: RecoveryOptions,
-    on_telemetry: impl FnOnce(Arc<ClusterTelemetry>) + 'static,
-) -> io::Result<(ClusterRole<Global<A>>, RecoveryReport)> {
-    let listener = TcpListener::bind(manifest.addr(me))?;
-    run_cluster_recovering(
-        app,
-        source,
-        config,
-        manifest,
-        me,
-        connect_timeout,
-        listener,
-        opts,
-        Some(Box::new(on_telemetry)),
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_cluster_recovering<A: App>(
     app: Arc<A>,
@@ -423,18 +322,6 @@ fn run_cluster_recovering<A: App>(
     opts: RecoveryOptions,
     mut on_telemetry: Option<TelemetryHook>,
 ) -> io::Result<(ClusterRole<Global<A>>, RecoveryReport)> {
-    assert!(config.num_workers >= 1);
-    assert!(config.compers_per_worker >= 1);
-    if config.num_workers != manifest.num_workers() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "config says {} workers but the manifest lists {}",
-                config.num_workers,
-                manifest.num_workers()
-            ),
-        ));
-    }
     let Some(base) = config.checkpoint_dir.clone() else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -468,14 +355,13 @@ fn run_cluster_recovering<A: App>(
         // this blocks (dials backing off through connection-refused)
         // until the replacement binds and joins — bounded by
         // `connect_timeout`, after which the whole cluster errors out.
-        let mut transport = TcpTransport::connect_via_with(
+        let mut transport = TcpTransport::connect_via(
             &acceptor,
             manifest,
             me,
             cfg.fault.clone(),
             connect_timeout,
             opts.generation,
-            cfg.net_backend,
         )?;
         let net = transport.take_endpoint(me);
 
@@ -555,11 +441,7 @@ fn run_cluster_recovering<A: App>(
             let cp = base.join(format!("epoch-{epoch}"));
             let m: Manifest<Global<A>> = checkpoint::read_manifest(&cp)?;
             let shard = checkpoint::read_shard::<A::Context, Partial<A>>(&cp, me.index())?;
-            shared.local.reset_spawn_pointer(shard.spawn_position as usize);
-            shared.agg.set_partial(shard.partial.clone());
-            for chunk in shard.tasks.chunks(seg.task_batch.max(1)) {
-                shared.spill.spill(chunk)?;
-            }
+            restore_shard(&shared, shard)?;
             shared.agg.set_global(m.global.clone());
             shared.resumed_epoch.store(epoch as i64, Ordering::Relaxed);
             Some(m.global)

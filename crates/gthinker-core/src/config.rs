@@ -4,7 +4,6 @@ use crate::metrics::MetricsSnapshot;
 use gthinker_graph::ids::WorkerId;
 use gthinker_net::fault::FaultConfig;
 use gthinker_net::router::LinkConfig;
-use gthinker_net::tcp::TcpBackend;
 use gthinker_store::cache::{CacheConfig, CacheSnapshot};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -86,13 +85,6 @@ pub struct JobConfig {
     /// only the final end-of-job report on multi-worker runs, so the
     /// hot path is unchanged.
     pub report_interval: Option<Duration>,
-    /// TCP data plane for multi-process cluster runs
-    /// (`--net-backend`): the default evented plane (one `poll(2)`
-    /// I/O thread per worker, pooled zero-copy frames, vectored
-    /// writes) or the legacy threaded plane (reader thread per peer,
-    /// synchronous writes) kept as the ablation baseline. Ignored by
-    /// the in-process sim router.
-    pub net_backend: TcpBackend,
 }
 
 impl Default for JobConfig {
@@ -119,7 +111,6 @@ impl Default for JobConfig {
             heartbeat_timeout: None,
             compute_budget: None,
             report_interval: None,
-            net_backend: TcpBackend::default(),
         }
     }
 }

@@ -64,32 +64,23 @@ impl From<Arc<CompressedGraph>> for GraphSource<'static> {
     }
 }
 
-/// Runs an application over `graph` with the given configuration,
-/// blocking until completion (or suspension if
+/// Runs an application over `source` — an in-RAM `&Graph` or a
+/// memory-mapped [`GraphSource::Mapped`] compressed graph — with the
+/// given configuration, blocking until completion (or suspension if
 /// `config.suspend_after` fires first).
-pub fn run_job<A: App>(
+pub fn run_job<'a, A: App>(
     app: Arc<A>,
-    graph: &Graph,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
 ) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, GraphSource::InMemory(graph), config, None, None)
+    run_inner(app, source.into(), config, None, None)
 }
 
-/// [`run_job`] over an explicit [`GraphSource`] — use this to run the
-/// job directly off a memory-mapped compressed graph without ever
-/// materializing adjacency in RAM.
-pub fn run_job_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, source, config, None, None)
-}
-
-/// A point-in-time view of a running job, delivered to the observer of
-/// [`run_job_observed`]. This is the paper's "periodically synchronize
-/// job status to monitor progress" made visible to the embedding
-/// application (e.g. the current total in triangle counting).
+/// A point-in-time view of a running job: the projection of a
+/// [`MetricsSnapshot`] returned by [`MetricsSnapshot::progress`]. This
+/// is the paper's "periodically synchronize job status to monitor
+/// progress" made visible to the embedding application (e.g. the
+/// current total in triangle counting).
 #[derive(Clone, Debug)]
 pub struct ProgressSnapshot {
     /// Time since the job started.
@@ -108,60 +99,38 @@ pub struct ProgressSnapshot {
     pub quiescent_workers: usize,
 }
 
-/// Like [`run_job`], but invokes `observer` with a [`ProgressSnapshot`]
-/// every `config.sync_interval` until the job ends. The snapshot is a
-/// projection of the full [`MetricsSnapshot`]; use
-/// [`run_job_metrics_observed`] for the complete view.
-pub fn run_job_observed<A: App>(
-    app: Arc<A>,
-    graph: &Graph,
-    config: &JobConfig,
-    mut observer: impl FnMut(ProgressSnapshot) + Send + 'static,
-) -> io::Result<JobResult<Global<A>>> {
-    run_inner(
-        app,
-        GraphSource::InMemory(graph),
-        config,
-        None,
-        Some(Box::new(move |m: &MetricsSnapshot| observer(m.progress()))),
-    )
-}
-
 /// Like [`run_job`], but invokes `observer` with a full
 /// [`MetricsSnapshot`] (counters, cache stats, per-comper latency
-/// histograms) every `config.sync_interval` until the job ends.
-pub fn run_job_metrics_observed<A: App>(
+/// histograms) every `config.sync_interval` until the job ends; call
+/// [`MetricsSnapshot::progress`] for the compact [`ProgressSnapshot`].
+pub fn run_job_observed<'a, A: App>(
     app: Arc<A>,
-    graph: &Graph,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
     observer: impl FnMut(&MetricsSnapshot) + Send + 'static,
 ) -> io::Result<JobResult<Global<A>>> {
-    run_inner(app, GraphSource::InMemory(graph), config, None, Some(Box::new(observer)))
+    run_inner(app, source.into(), config, None, Some(Box::new(observer)))
 }
 
 type Observer = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
 /// Resumes a suspended job from the checkpoint directory written when
 /// it suspended. Topology (worker count) must match the original run.
-pub fn resume_job<A: App>(
+/// The source may differ in kind from the original run's (in-RAM vs
+/// mapped): a checkpoint holds only tasks, aggregator state and the
+/// spawn pointer — never adjacency.
+pub fn resume_job<'a, A: App>(
     app: Arc<A>,
-    graph: &Graph,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
     checkpoint: &std::path::Path,
 ) -> io::Result<JobResult<Global<A>>> {
-    resume_job_on(app, GraphSource::InMemory(graph), config, checkpoint)
+    let resume = read_resume::<A>(config, checkpoint)?;
+    run_inner(app, source.into(), config, Some(resume), None)
 }
 
-/// [`resume_job`] over an explicit [`GraphSource`]: resuming works the
-/// same off a memory-mapped compressed graph, since a checkpoint holds
-/// only tasks, aggregator state and the spawn pointer — never
-/// adjacency.
-pub fn resume_job_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    checkpoint: &std::path::Path,
-) -> io::Result<JobResult<Global<A>>> {
+/// Reads a suspended job's manifest and every worker's shard.
+fn read_resume<A: App>(config: &JobConfig, checkpoint: &std::path::Path) -> io::Result<Resume<A>> {
     let manifest: Manifest<Global<A>> = checkpoint::read_manifest(checkpoint)?;
     if manifest.num_workers as usize != config.num_workers {
         return Err(io::Error::new(
@@ -178,7 +147,7 @@ pub fn resume_job_on<A: App>(
     for w in 0..config.num_workers {
         shards.push(checkpoint::read_shard::<A::Context, Partial<A>>(checkpoint, w)?);
     }
-    run_inner(app, source, config, Some((manifest, shards)), None)
+    Ok((manifest, shards))
 }
 
 type Resume<A> = (Manifest<Global<A>>, Vec<WorkerShard<<A as App>::Context, Partial<A>>>);
@@ -202,25 +171,15 @@ pub struct RecoveryReport {
 /// up with an error after `max_recoveries` reruns.
 ///
 /// With `checkpoint_interval == None` the job never suspends — a crash
-/// simply reruns it from the start.
-pub fn run_job_with_recovery<A: App>(
+/// simply reruns it from the start. Recovery composes with the
+/// memory-mapped storage backend exactly as it does with the in-RAM one.
+pub fn run_job_with_recovery<'a, A: App>(
     app: Arc<A>,
-    graph: &Graph,
+    source: impl Into<GraphSource<'a>>,
     config: &JobConfig,
     max_recoveries: u32,
 ) -> io::Result<(JobResult<Global<A>>, RecoveryReport)> {
-    run_job_with_recovery_on(app, GraphSource::InMemory(graph), config, max_recoveries)
-}
-
-/// [`run_job_with_recovery`] over an explicit [`GraphSource`] — crash
-/// recovery composes with the memory-mapped storage backend exactly as
-/// it does with the in-RAM one.
-pub fn run_job_with_recovery_on<A: App>(
-    app: Arc<A>,
-    source: GraphSource<'_>,
-    config: &JobConfig,
-    max_recoveries: u32,
-) -> io::Result<(JobResult<Global<A>>, RecoveryReport)> {
+    let source = source.into();
     let (base, auto_base) = match &config.checkpoint_dir {
         Some(dir) => (dir.clone(), false),
         None => {
@@ -243,10 +202,11 @@ pub fn run_job_with_recovery_on<A: App>(
         let epoch_dir = base.join(format!("epoch-{epoch}"));
         seg.checkpoint_dir = Some(epoch_dir.clone());
         epoch += 1;
-        let mut result = match &last_good {
-            Some(cp) => resume_job_on(Arc::clone(&app), source.clone(), &seg, cp)?,
-            None => run_job_on(Arc::clone(&app), source.clone(), &seg)?,
+        let resume = match &last_good {
+            Some(cp) => Some(read_resume::<A>(&seg, cp)?),
+            None => None,
         };
+        let mut result = run_inner(Arc::clone(&app), source.clone(), &seg, resume, None)?;
         match result.outcome {
             JobOutcome::Completed => {
                 if let Some(old) = last_good.take() {
@@ -333,9 +293,9 @@ fn run_inner<A: App>(
 
     let job_dir = new_job_dir(config);
 
-    let (resume_manifest, resume_shards) = match resume {
-        Some((m, s)) => (Some(m), Some(s)),
-        None => (None, None),
+    let (resume_manifest, mut resume_shards) = match resume {
+        Some((m, s)) => (Some(m), s.into_iter()),
+        None => (None, Vec::new().into_iter()),
     };
 
     // Build per-worker shared state.
@@ -343,15 +303,8 @@ fn run_inner<A: App>(
     for (w, (local, net)) in locals.into_iter().zip(handles).enumerate() {
         let shared =
             build_worker(&app, config, &label_table, partitioner, w, local, net, &job_dir)?;
-        if let Some(shards) = &resume_shards {
-            let shard = &shards[w];
-            shared.local.reset_spawn_pointer(shard.spawn_position as usize);
-            shared.agg.set_partial(shard.partial.clone());
-            // Restored tasks go through L_file so compers pick them up
-            // with the normal refill priority.
-            for chunk in shard.tasks.chunks(config.task_batch.max(1)) {
-                shared.spill.spill(chunk)?;
-            }
+        if let Some(shard) = resume_shards.next() {
+            restore_shard(&shared, shard)?;
         }
         workers.push(shared);
     }
@@ -438,12 +391,8 @@ fn run_inner<A: App>(
         return Err(e);
     }
 
-    let outcome = outcome.expect("master worker returns the job outcome");
-    let (global, job_outcome) = match outcome {
-        WorkerOutcome::Completed(g) => (g, JobOutcome::Completed),
-        WorkerOutcome::Suspended(g, dir) => (g, JobOutcome::Suspended { checkpoint: dir }),
-        WorkerOutcome::Failed(g, w) => (g, JobOutcome::Failed { worker: w }),
-    };
+    let (global, job_outcome) =
+        outcome.expect("master worker returns the job outcome").into_job_outcome();
     let metrics = registry.final_snapshot();
     Ok(JobResult {
         global,
@@ -560,12 +509,39 @@ pub(crate) fn build_worker<A: App>(
     ))
 }
 
+/// Restores one worker's checkpoint shard into its freshly built state:
+/// spawn pointer, aggregator partial, and the shard's tasks. Restored
+/// tasks go through `L_file` so compers pick them up with the normal
+/// refill priority.
+pub(crate) fn restore_shard<A: App>(
+    shared: &WorkerShared<A>,
+    shard: WorkerShard<A::Context, Partial<A>>,
+) -> io::Result<()> {
+    shared.local.reset_spawn_pointer(shard.spawn_position as usize);
+    shared.agg.set_partial(shard.partial);
+    for chunk in shard.tasks.chunks(shared.config.task_batch.max(1)) {
+        shared.spill.spill(chunk)?;
+    }
+    Ok(())
+}
+
 pub(crate) enum WorkerOutcome<A: App> {
     Completed(Global<A>),
     Suspended(Global<A>, PathBuf),
     /// The master's heartbeat declared a worker dead; the global is
     /// whatever had been merged when the job was torn down.
     Failed(Global<A>, WorkerId),
+}
+
+impl<A: App> WorkerOutcome<A> {
+    /// The master's outcome as the caller-facing `(global, outcome)`.
+    pub(crate) fn into_job_outcome(self) -> (Global<A>, JobOutcome) {
+        match self {
+            WorkerOutcome::Completed(g) => (g, JobOutcome::Completed),
+            WorkerOutcome::Suspended(g, dir) => (g, JobOutcome::Suspended { checkpoint: dir }),
+            WorkerOutcome::Failed(g, w) => (g, JobOutcome::Failed { worker: w }),
+        }
+    }
 }
 
 /// What each worker's main thread hands back to [`run_inner`]: stats,

@@ -64,15 +64,12 @@ mod worker;
 pub use agg::{Aggregator, LocalAgg, NoAgg};
 pub use api::{App, ComputeEnv, SpawnEnv};
 pub use cluster::{
-    run_worker_process, run_worker_process_on, run_worker_process_recovering,
-    run_worker_process_recovering_on, run_worker_process_source,
-    run_worker_process_source_observed, run_worker_process_source_on,
-    run_worker_process_source_recovering_observed, ClusterRole, RecoveryOptions,
+    run_worker_process, run_worker_process_source_on, ClusterRole, RecoveryOptions, TelemetryHook,
 };
 pub use config::{JobConfig, JobOutcome, JobResult, WorkerStats};
 pub use job::{
-    resume_job, resume_job_on, run_job, run_job_metrics_observed, run_job_observed, run_job_on,
-    run_job_with_recovery, run_job_with_recovery_on, GraphSource, ProgressSnapshot, RecoveryReport,
+    resume_job, run_job, run_job_observed, run_job_with_recovery, GraphSource, ProgressSnapshot,
+    RecoveryReport,
 };
 pub use metrics::{ClusterTelemetry, MetricsRegistry, MetricsSnapshot, WorkerMetricsSnapshot};
 
@@ -82,8 +79,8 @@ pub mod prelude {
     pub use crate::api::{App, ComputeEnv, SpawnEnv};
     pub use crate::config::{JobConfig, JobOutcome, JobResult};
     pub use crate::job::{
-        resume_job, run_job, run_job_metrics_observed, run_job_observed, run_job_on,
-        run_job_with_recovery, GraphSource, ProgressSnapshot, RecoveryReport,
+        resume_job, run_job, run_job_observed, run_job_with_recovery, GraphSource,
+        ProgressSnapshot, RecoveryReport,
     };
     pub use crate::metrics::{MetricsSnapshot, WorkerMetricsSnapshot};
     pub use gthinker_graph::adj::AdjList;

@@ -191,7 +191,7 @@ pub struct WorkerMetricsSnapshot {
     /// Bytes received.
     pub net_bytes_received: u64,
     /// Vectored socket writes issued by the evented TCP data plane's
-    /// I/O loop (0 on the sim router and the threaded backend).
+    /// I/O loop (0 on the sim router).
     pub net_writev_calls: u64,
     /// Frames that shared a vectored write with at least one other
     /// frame — the evented plane's write-coalescing win.
@@ -513,8 +513,9 @@ impl MetricsSnapshot {
         self.workers.iter().map(|w| w.tasks_finished).sum()
     }
 
-    /// The legacy progress view, derived (the observer API's
-    /// [`ProgressSnapshot`] is a strict projection of this snapshot).
+    /// The compact progress view: a strict projection of this snapshot
+    /// (what a [`run_job_observed`](crate::job::run_job_observed)
+    /// observer calls for a one-line status).
     pub fn progress(&self) -> ProgressSnapshot {
         ProgressSnapshot {
             elapsed: self.elapsed,

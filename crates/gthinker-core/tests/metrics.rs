@@ -2,7 +2,7 @@
 //! live job, lossless histogram merging, and the event timeline.
 
 use gthinker_core::prelude::*;
-use gthinker_core::run_job_metrics_observed;
+use gthinker_core::run_job_observed;
 use gthinker_graph::gen;
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,7 +89,7 @@ fn metrics_observer_sees_growing_snapshots() {
     let s = Arc::clone(&sink);
     let mut cfg = JobConfig::cluster(2, 2);
     cfg.sync_interval = Duration::from_millis(5);
-    let r = run_job_metrics_observed(Arc::new(EdgeCount), &g, &cfg, move |m| {
+    let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |m| {
         s.lock().push(m.clone());
     })
     .unwrap();

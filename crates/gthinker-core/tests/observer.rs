@@ -56,8 +56,8 @@ fn observer_sees_monotonic_progress_and_final_result_is_unaffected() {
     let sink = Arc::clone(&snapshots);
     let mut cfg = JobConfig::cluster(2, 2);
     cfg.sync_interval = Duration::from_millis(10);
-    let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |s| {
-        sink.lock().push(s);
+    let r = run_job_observed(Arc::new(EdgeCount), &g, &cfg, move |m| {
+        sink.lock().push(m.progress());
     })
     .unwrap();
     assert_eq!(r.global, g.num_edges() as u64);

@@ -1,10 +1,9 @@
 //! The evented TCP data plane: **one non-blocking I/O thread per
 //! worker process**, owning every peer socket, driven by `poll(2)`.
 //!
-//! The threaded backend spends ~3 threads per peer (reader, writer
-//! lock-holder, delay re-transmitter) and copies every frame through
-//! intermediate buffers. This backend replaces all of it with a single
-//! loop (`tcp-io-<worker>`):
+//! A single loop (`tcp-io-<worker>`) does every socket syscall, however
+//! many peers the worker has; no thread is spent per peer, per delayed
+//! frame or per crash timer:
 //!
 //! * **Sealed once, written everywhere.** `send` encodes the message
 //!   straight into a pooled wire buffer ([`FramePool`]); a broadcast
@@ -27,13 +26,12 @@
 //!   buffer.
 //! * **Fault injection re-landed in the loop.** Send-side decisions
 //!   still come from the shared [`FaultRuntime`] at the same call
-//!   sites, so a seed makes byte-identical drop/dup/delay choices on
-//!   every backend; the delay *heap* now lives inside the loop (its
-//!   deadline bounds the poll timeout) instead of a dedicated thread,
-//!   and wall-clock crash schedules fire from the loop's timeout path
-//!   instead of a timer thread.
-//! * **Peer death is an event** exactly as on the threaded backend:
-//!   read EOF/error or a failed write marks the link down, bumps the
+//!   sites, so a seed makes byte-identical drop/dup/delay choices here
+//!   and on the sim router; the delay *heap* lives inside the loop (its
+//!   deadline bounds the poll timeout), and wall-clock crash schedules
+//!   fire from the loop's timeout path.
+//! * **Peer death is an event:** read EOF/error, a framing error or a
+//!   failed write marks the link down, bumps the
 //!   per-peer counter and injects [`Message::PeerDown`] into the local
 //!   inbox.
 //!
@@ -46,7 +44,6 @@ use crate::fault::FaultRuntime;
 use crate::frame::{FrameDecoder, FRAME_OVERHEAD};
 use crate::message::Message;
 use crate::pool::{FramePool, SealedFrame};
-use crate::tcp::crash_self;
 use crate::transport::{NetEndpoint, NetStats};
 use crossbeam::channel::{Receiver, Sender};
 use gthinker_graph::ids::WorkerId;
@@ -87,7 +84,7 @@ struct OutRing {
     /// Total queued bytes (the backpressure gauge).
     bytes: usize,
     /// Peer's socket is dead or absent; sends are silently discarded,
-    /// matching the threaded backend and the trait contract.
+    /// per the trait contract.
     gone: bool,
 }
 
@@ -222,8 +219,8 @@ struct IoLoop {
     wake_rx: UnixStream,
     reads: Vec<Option<ReadHalf>>,
     writes: Vec<Option<TcpStream>>,
-    /// Wall-clock crash-schedule deadline for this process (the
-    /// threaded backend's timer thread, folded into the poll timeout).
+    /// Wall-clock crash-schedule deadline for this process, folded into
+    /// the poll timeout.
     crash_wall: Option<Instant>,
 }
 
@@ -413,8 +410,7 @@ impl IoLoop {
                     Ok(None) => break,
                     Err(e) => {
                         // A framing stream that lost sync cannot
-                        // recover; same handling as the threaded
-                        // reader's read_frame error.
+                        // recover: the link is down.
                         self.link_down(p, Some(e.into()));
                         return false;
                     }
@@ -470,8 +466,7 @@ impl IoLoop {
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         // Peer died: discard the ring, stop accepting,
-                        // surface the event. Mirrors the threaded
-                        // dispatch path's write failure.
+                        // surface the event.
                         ring.gone = true;
                         ring.frames.clear();
                         ring.bytes = 0;
@@ -490,8 +485,9 @@ impl IoLoop {
     }
 
     /// A link to `p` died: count it and surface a `PeerDown` event,
-    /// whichever half noticed first (same contract as the threaded
-    /// backend's reader/dispatch failures).
+    /// whichever half (read or write) noticed first. Resets are the
+    /// normal end of a job at teardown; anything else (version
+    /// mismatch, corruption) is worth a line on stderr.
     fn link_down(&mut self, p: usize, context: Option<io::Error>) {
         if let Some(e) = context {
             if !matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted) {
@@ -502,12 +498,10 @@ impl IoLoop {
         let _ = self.inbox_tx.send(Message::PeerDown { worker: WorkerId(p as u16) });
     }
 
-    /// Endpoint teardown: deliver everything still pending — the
-    /// threaded backend's synchronous `write_all` semantics mean the
-    /// final control messages (terminate, final reports, acks) were
-    /// already on the wire when the endpoint dropped, and peers rely
-    /// on that. Delayed frames flush immediately (as the threaded
-    /// delay thread does on disconnect), then every ring is written
+    /// Endpoint teardown: deliver everything still pending — peers
+    /// rely on the final control messages (terminate, final reports,
+    /// acks) reaching the wire before the endpoint's sockets close.
+    /// Delayed frames flush immediately, then every ring is written
     /// dry on a re-blocked socket with a bounded write timeout.
     fn shutdown_flush(&mut self) {
         let heap = std::mem::take(&mut *self.shared.delay.lock().expect("delay heap lock"));
@@ -606,9 +600,17 @@ pub(crate) fn launch(
     })
 }
 
+/// This process is a crash schedule's victim and the mark was reached:
+/// die the way a killed worker dies — abnormally, mid-everything.
+fn crash_self(me: usize) -> ! {
+    eprintln!("gthinker-net: worker {me} crash schedule fired; aborting process");
+    std::process::abort();
+}
+
 /// This process's endpoint on the evented mesh. Senders seal into the
 /// pool and enqueue; the I/O thread does every syscall. Byte counters
-/// measure real wire bytes exactly as the threaded backend does.
+/// measure real wire bytes: payload plus [`FRAME_OVERHEAD`] per message
+/// (self-sends are counted at the same rate for comparability).
 pub struct EventedEndpoint {
     me: usize,
     n: usize,
@@ -624,8 +626,9 @@ pub struct EventedEndpoint {
 
 impl EventedEndpoint {
     /// Advances this process's crash schedule by one endpoint message
-    /// (send or successful receive); same logical trigger as the
-    /// threaded backend.
+    /// (send or successful receive) and aborts the process if this
+    /// worker is the victim and the mark was reached — the TCP
+    /// equivalent of the sim router delivering `Message::Crash`.
     fn note_traffic(&self) {
         if let Some(f) = &self.fault {
             if f.crash_due() == Some(self.me) {

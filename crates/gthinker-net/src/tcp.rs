@@ -1,9 +1,10 @@
 //! The real TCP interconnect: one worker per OS process, length-prefixed
-//! [`frame`](crate::frame)s over sockets.
+//! [`frame`]s over sockets.
 //!
 //! A [`ClusterManifest`] lists every worker's listen address. At startup
-//! each process calls [`TcpTransport::connect`], which binds its own
-//! listener and builds a full mesh of **unidirectional** links: worker
+//! each process binds its own listener and calls
+//! [`TcpTransport::connect_on`], which builds a full mesh of
+//! **unidirectional** links: worker
 //! `a` dials worker `b` and writes on that socket; `b` accepts and
 //! reads. Each accepted link starts with a hello frame naming the
 //! dialing worker, the cluster size, and the dialer's **generation**
@@ -12,8 +13,10 @@
 //! rendezvous with a descriptive error instead of corrupting traffic
 //! later. Dials retry with exponential backoff + jitter while a peer's
 //! listener is still coming up, bounded by the rendezvous timeout.
+//! Once the mesh is up, the [`evented`](crate::evented) data plane owns
+//! every socket from one `poll(2)` I/O thread.
 //!
-//! **Peer death is an event, not a hang.** Every reader or writer error
+//! **Peer death is an event, not a hang.** Every read or write error
 //! (EOF, ECONNRESET, broken pipe) injects a
 //! [`Message::PeerDown`](crate::message::Message::PeerDown) into the
 //! local inbox and bumps a per-peer [`NetStats`] counter; the master's
@@ -26,7 +29,7 @@
 //! is closed before it can deliver anything).
 //!
 //! Fault injection reuses the transport-agnostic
-//! [`FaultRuntime`](crate::fault::FaultRuntime): the same seed produces
+//! [`FaultRuntime`]: the same seed produces
 //! the same drop/duplicate/delay decisions as the simulated router.
 //! Crash schedules fire for real here: when this process is the
 //! victim, the endpoint calls `std::process::abort()` at the scheduled
@@ -37,17 +40,13 @@
 //! endpoint's own sends and receives; no process has the router's
 //! global count.)
 
-use crate::fault::{splitmix64, FaultConfig, FaultRuntime, FaultStats};
-use crate::frame::{self, FRAME_OVERHEAD};
-use crate::message::Message;
+use crate::fault::{splitmix64, FaultConfig, FaultRuntime};
+use crate::frame;
 use crate::transport::{NetEndpoint, NetStats, Transport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::unbounded;
 use gthinker_graph::ids::WorkerId;
-use gthinker_task::codec::{self, Decode, Encode};
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::io::{self, ErrorKind, Write};
+use gthinker_task::codec::{Decode, Encode};
+use std::io::{self, ErrorKind};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -319,51 +318,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<AcceptorInner>, n: usize) {
     }
 }
 
-type Writers = Arc<Vec<Mutex<Option<TcpStream>>>>;
-
-/// Which data plane carries frames once the mesh rendezvous is done.
-/// Both speak the identical wire format and fault model, so a cluster
-/// can mix them; the choice is per-process.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TcpBackend {
-    /// One reader thread per peer; sends write synchronously from the
-    /// sending thread under a per-peer lock; injected delays and
-    /// wall-clock crash schedules each get a dedicated thread. The
-    /// original data plane, kept as the ablation baseline.
-    Threaded,
-    /// A single `poll(2)` I/O thread owns every socket: pooled
-    /// zero-copy frame buffers, per-peer bounded outbound rings with
-    /// backpressure, vectored/coalesced writes, and the delay heap and
-    /// crash deadline folded into the loop
-    /// ([`EventedEndpoint`](crate::evented::EventedEndpoint)).
-    #[default]
-    Evented,
-}
-
-impl std::str::FromStr for TcpBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<TcpBackend, String> {
-        match s {
-            "threaded" => Ok(TcpBackend::Threaded),
-            "evented" => Ok(TcpBackend::Evented),
-            other => Err(format!("unknown net backend `{other}` (expected threaded|evented)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TcpBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TcpBackend::Threaded => "threaded",
-            TcpBackend::Evented => "evented",
-        })
-    }
-}
-
-/// One worker per OS process, talking real TCP to its peers. Holds an
-/// [`Arc`] of its [`MeshAcceptor`] so the accept thread lives at least
-/// as long as the mesh; callers that rendezvous repeatedly
+/// One worker per OS process, talking real TCP to its peers through
+/// the evented data plane ([`EventedEndpoint`](crate::evented::EventedEndpoint)).
+/// Holds an [`Arc`] of its [`MeshAcceptor`] so the accept thread lives
+/// at least as long as the mesh; callers that rendezvous repeatedly
 /// ([`TcpTransport::connect_via`]) keep their own `Arc` across
 /// attempts.
 pub struct TcpTransport {
@@ -383,35 +341,10 @@ impl std::fmt::Debug for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Binds this worker's manifest address and joins the cluster
-    /// rendezvous: dial every peer, accept every peer, all within
-    /// `timeout`. Returns once the full mesh is up.
-    pub fn connect(
-        manifest: &ClusterManifest,
-        me: WorkerId,
-        fault: FaultConfig,
-        timeout: Duration,
-    ) -> io::Result<TcpTransport> {
-        let listener = TcpListener::bind(manifest.addr(me))?;
-        TcpTransport::connect_on(manifest, me, fault, timeout, listener)
-    }
-
-    /// [`connect`](TcpTransport::connect) with an explicit data-plane
-    /// choice.
-    pub fn connect_with(
-        manifest: &ClusterManifest,
-        me: WorkerId,
-        fault: FaultConfig,
-        timeout: Duration,
-        backend: TcpBackend,
-    ) -> io::Result<TcpTransport> {
-        let listener = TcpListener::bind(manifest.addr(me))?;
-        TcpTransport::connect_on_with(manifest, me, fault, timeout, listener, backend)
-    }
-
-    /// [`connect`](TcpTransport::connect) with a pre-bound listener
-    /// (see [`ClusterManifest::loopback`]). Builds a one-shot
-    /// [`MeshAcceptor`] owned by the transport; generation 0.
+    /// Joins the cluster rendezvous on a pre-bound listener (bind
+    /// `manifest.addr(me)`, or see [`ClusterManifest::loopback`]): dial
+    /// every peer, accept every peer, all within `timeout`. Builds a
+    /// one-shot [`MeshAcceptor`] owned by the transport; generation 0.
     pub fn connect_on(
         manifest: &ClusterManifest,
         me: WorkerId,
@@ -419,21 +352,8 @@ impl TcpTransport {
         timeout: Duration,
         listener: TcpListener,
     ) -> io::Result<TcpTransport> {
-        TcpTransport::connect_on_with(manifest, me, fault, timeout, listener, TcpBackend::default())
-    }
-
-    /// [`connect_on`](TcpTransport::connect_on) with an explicit
-    /// data-plane choice.
-    pub fn connect_on_with(
-        manifest: &ClusterManifest,
-        me: WorkerId,
-        fault: FaultConfig,
-        timeout: Duration,
-        listener: TcpListener,
-        backend: TcpBackend,
-    ) -> io::Result<TcpTransport> {
         let acceptor = MeshAcceptor::new(listener, me, manifest.num_workers())?;
-        TcpTransport::connect_via_with(&acceptor, manifest, me, fault, timeout, 0, backend)
+        TcpTransport::connect_via(&acceptor, manifest, me, fault, timeout, 0)
     }
 
     /// Joins (or re-joins) the cluster rendezvous through a persistent
@@ -442,7 +362,7 @@ impl TcpTransport {
     /// `timeout`. The cluster-recovery loop calls this once per
     /// attempt, holding the acceptor across attempts so links dialed by
     /// a respawned peer while this process was tearing down are not
-    /// lost.
+    /// lost. An `me` outside the manifest is an `InvalidInput` error.
     pub fn connect_via(
         acceptor: &Arc<MeshAcceptor>,
         manifest: &ClusterManifest,
@@ -451,62 +371,19 @@ impl TcpTransport {
         timeout: Duration,
         generation: u32,
     ) -> io::Result<TcpTransport> {
-        TcpTransport::connect_via_with(
-            acceptor,
-            manifest,
-            me,
-            fault,
-            timeout,
-            generation,
-            TcpBackend::default(),
-        )
-    }
-
-    /// [`connect_via`](TcpTransport::connect_via) with an explicit
-    /// data-plane choice. The rendezvous (dial + hello + accept) is
-    /// identical for both backends; they differ only in who owns the
-    /// established sockets afterwards.
-    pub fn connect_via_with(
-        acceptor: &Arc<MeshAcceptor>,
-        manifest: &ClusterManifest,
-        me: WorkerId,
-        fault: FaultConfig,
-        timeout: Duration,
-        generation: u32,
-        backend: TcpBackend,
-    ) -> io::Result<TcpTransport> {
         let n = manifest.num_workers();
-        assert!(me.index() < n, "worker {} not in a {n}-worker manifest", me.index());
+        if me.index() >= n {
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("worker {} not in a {n}-worker manifest", me.index()),
+            ));
+        }
         assert_eq!(acceptor.me, me.index(), "acceptor belongs to another worker");
         assert_eq!(acceptor.n, n, "acceptor sized for a different cluster");
         let fault = FaultRuntime::new(n, fault).map(Arc::new);
         let stats = Arc::new(NetStats::for_cluster(n));
         let (inbox_tx, inbox) = unbounded();
         let deadline = Instant::now() + timeout;
-
-        // If this process is a crash schedule's victim on a wall-clock
-        // trigger, arm a timer so the abort fires even while the
-        // endpoint is idle (sends/receives also check the schedule).
-        // The evented backend folds this deadline into its I/O loop's
-        // poll timeout instead — no extra thread.
-        if backend == TcpBackend::Threaded {
-            if let Some(f) = &fault {
-                if let Some(cs) = f.config().crash {
-                    if let (true, Some(after)) = (cs.worker == me, cs.after) {
-                        let f = Arc::clone(f);
-                        std::thread::Builder::new()
-                            .name(format!("tcp-crash-timer-{}", me.index()))
-                            .spawn(move || {
-                                std::thread::sleep(after);
-                                if f.crash_due() == Some(me.index()) {
-                                    crash_self(me.index());
-                                }
-                            })
-                            .map_err(|e| io::Error::other(format!("spawn crash timer: {e}")))?;
-                    }
-                }
-            }
-        }
 
         // The acceptor has been collecting inbound links since it was
         // created; dial every peer, retrying with backoff while a peer
@@ -552,63 +429,22 @@ impl TcpTransport {
             *slot = Some(stream);
         }
 
-        let endpoint: Box<dyn NetEndpoint> = match backend {
-            TcpBackend::Evented => Box::new(crate::evented::launch(
-                me,
-                n,
-                write_streams,
-                read_streams,
-                stats,
-                fault,
-                inbox_tx,
-                inbox,
-            )?),
-            TcpBackend::Threaded => {
-                // One reader thread per inbound link.
-                for (peer, stream) in read_streams.into_iter().enumerate() {
-                    let Some(stream) = stream else { continue };
-                    let inbox_tx = inbox_tx.clone();
-                    let stats = Arc::clone(&stats);
-                    std::thread::Builder::new()
-                        .name(format!("tcp-read-{}-from-{peer}", me.index()))
-                        .spawn(move || reader_loop(peer, stream, inbox_tx, stats))
-                        .map_err(|e| io::Error::other(format!("spawn reader thread: {e}")))?;
-                }
-                let writers: Writers =
-                    Arc::new(write_streams.into_iter().map(Mutex::new).collect::<Vec<_>>());
-
-                // Injected delays re-transmit from a heap thread;
-                // created only when faults are on, so the clean path
-                // has no extra thread.
-                let delay_tx = match &fault {
-                    Some(_) => {
-                        let (tx, rx) = unbounded::<DelayedFrame>();
-                        let writers = Arc::clone(&writers);
-                        let stats = Arc::clone(&stats);
-                        std::thread::Builder::new()
-                            .name(format!("tcp-delay-{}", me.index()))
-                            .spawn(move || delay_loop(rx, writers, stats))
-                            .map_err(|e| io::Error::other(format!("spawn delay thread: {e}")))?;
-                        Some(tx)
-                    }
-                    None => None,
-                };
-
-                Box::new(TcpEndpoint {
-                    me: me.index(),
-                    n,
-                    writers,
-                    inbox,
-                    inbox_tx,
-                    stats,
-                    fault,
-                    delay_tx,
-                    delay_seq: AtomicU64::new(0),
-                })
-            }
-        };
-
-        Ok(TcpTransport { n, me, endpoint: Some(endpoint), _acceptor: Arc::clone(acceptor) })
+        let endpoint = crate::evented::launch(
+            me,
+            n,
+            write_streams,
+            read_streams,
+            stats,
+            fault,
+            inbox_tx,
+            inbox,
+        )?;
+        Ok(TcpTransport {
+            n,
+            me,
+            endpoint: Some(Box::new(endpoint)),
+            _acceptor: Arc::clone(acceptor),
+        })
     }
 }
 
@@ -656,251 +492,5 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant, salt: u64) -> io::Result
                 attempt += 1;
             }
         }
-    }
-}
-
-/// This process is a crash schedule's victim and the mark was reached:
-/// die the way a killed worker dies — abnormally, mid-everything.
-pub(crate) fn crash_self(me: usize) -> ! {
-    eprintln!("gthinker-net: worker {me} crash schedule fired; aborting process");
-    std::process::abort();
-}
-
-fn reader_loop(peer: usize, mut stream: TcpStream, inbox: Sender<Message>, stats: Arc<NetStats>) {
-    loop {
-        match frame::read_frame(&mut stream) {
-            Ok(Some(payload)) => {
-                let msg = match codec::from_bytes::<Message>(&payload) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!(
-                            "gthinker-net: undecodable frame from worker {peer} dropped: {e}"
-                        );
-                        continue;
-                    }
-                };
-                stats
-                    .bytes_received
-                    .fetch_add((payload.len() + FRAME_OVERHEAD) as u64, Ordering::Relaxed);
-                stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-                if inbox.send(msg).is_err() {
-                    return; // endpoint gone: job teardown
-                }
-            }
-            // Every way a link dies — clean EOF (peer closed or its OS
-            // closed its sockets when it died), reset, or a framing
-            // error — is counted and surfaced as a PeerDown event, so a
-            // dead process is something the master *reacts to* rather
-            // than a silently vanished thread. At normal job teardown
-            // the per-link FIFO guarantees the peer's final control
-            // messages were delivered before this fires, and the
-            // master's terminated guard ignores it.
-            Ok(None) => {
-                stats.peer_down(peer);
-                let _ = inbox.send(Message::PeerDown { worker: WorkerId(peer as u16) });
-                return;
-            }
-            Err(e) => {
-                // Resets during teardown are the normal end of a job;
-                // anything else (version mismatch, corruption) is worth
-                // a line on stderr before the link goes dark.
-                if !matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted) {
-                    eprintln!("gthinker-net: link from worker {peer} failed: {e}");
-                }
-                stats.peer_down(peer);
-                let _ = inbox.send(Message::PeerDown { worker: WorkerId(peer as u16) });
-                return;
-            }
-        }
-    }
-}
-
-struct DelayedFrame {
-    deliver_at: Instant,
-    seq: u64,
-    to: usize,
-    frame: Vec<u8>,
-}
-
-impl PartialEq for DelayedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
-    }
-}
-impl Eq for DelayedFrame {}
-impl PartialOrd for DelayedFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
-/// Writes fault-delayed frames once their delivery time arrives; later
-/// traffic on the link overtakes them, which is the reorder. A
-/// deferred write that cannot happen — the peer's writer is already
-/// gone, or the write itself fails — is dropped, but **counted**
-/// ([`NetStats::delayed_write_errors`]) so a chaos run can tell
-/// injected loss from delay-path loss.
-fn delay_loop(rx: Receiver<DelayedFrame>, writers: Writers, stats: Arc<NetStats>) {
-    let mut heap: BinaryHeap<Reverse<DelayedFrame>> = BinaryHeap::new();
-    let write = |d: DelayedFrame| {
-        let delivered = match writers[d.to].lock().as_mut() {
-            Some(stream) => stream.write_all(&d.frame).is_ok(),
-            None => false,
-        };
-        if !delivered {
-            stats.delayed_write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse(d)| d.deliver_at <= now) {
-            write(heap.pop().expect("peeked").0);
-        }
-        let timeout = heap
-            .peek()
-            .map(|Reverse(d)| d.deliver_at.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(d) => heap.push(Reverse(d)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Endpoint dropped: flush what is pending and exit.
-                while let Some(Reverse(d)) = heap.pop() {
-                    write(d);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// This process's endpoint on the TCP mesh. Byte counters measure real
-/// wire bytes: payload plus [`FRAME_OVERHEAD`] per message (self-sends
-/// are counted at the same rate for comparability).
-pub struct TcpEndpoint {
-    me: usize,
-    n: usize,
-    writers: Writers,
-    inbox: Receiver<Message>,
-    inbox_tx: Sender<Message>,
-    stats: Arc<NetStats>,
-    fault: Option<Arc<FaultRuntime>>,
-    delay_tx: Option<Sender<DelayedFrame>>,
-    delay_seq: AtomicU64,
-}
-
-impl TcpEndpoint {
-    /// Writes one sealed frame to `to`, now or after an injected delay.
-    /// A write error means the peer's socket is gone (it died, or left
-    /// at teardown): the writer is dropped so later sends stop
-    /// retrying, the per-peer counter is bumped, and a `PeerDown` is
-    /// injected into the local inbox — the same event a reader failure
-    /// produces, so peer death surfaces whichever side notices first.
-    fn dispatch(&self, to: usize, frame: Vec<u8>, extra: Duration) {
-        if extra.is_zero() {
-            let mut guard = self.writers[to].lock();
-            if let Some(stream) = guard.as_mut() {
-                if stream.write_all(&frame).is_err() {
-                    *guard = None;
-                    drop(guard);
-                    self.stats.peer_down(to);
-                    let _ = self.inbox_tx.send(Message::PeerDown { worker: WorkerId(to as u16) });
-                }
-            }
-        } else if let Some(tx) = &self.delay_tx {
-            let _ = tx.send(DelayedFrame {
-                deliver_at: Instant::now() + extra,
-                seq: self.delay_seq.fetch_add(1, Ordering::Relaxed),
-                to,
-                frame,
-            });
-        }
-    }
-
-    /// Advances this process's crash schedule by one endpoint message
-    /// (send or successful receive) and aborts the process if this
-    /// worker is the victim and the mark was reached — the TCP
-    /// equivalent of the sim router delivering `Message::Crash`.
-    fn note_traffic(&self) {
-        if let Some(f) = &self.fault {
-            if f.crash_due() == Some(self.me) {
-                crash_self(self.me);
-            }
-        }
-    }
-}
-
-impl NetEndpoint for TcpEndpoint {
-    fn id(&self) -> WorkerId {
-        WorkerId(self.me as u16)
-    }
-
-    fn num_workers(&self) -> usize {
-        self.n
-    }
-
-    fn send(&self, to: WorkerId, msg: Message) {
-        self.note_traffic();
-        let bytes = (msg.encoded_len() + FRAME_OVERHEAD) as u64;
-        self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        if to.index() == self.me {
-            self.stats.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-            self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-            let _ = self.inbox_tx.send(msg);
-            return;
-        }
-        let mut extra = Duration::ZERO;
-        if let Some(f) = &self.fault {
-            if msg.is_data_plane() {
-                let d = f.next_decision(self.me, to.index());
-                if d.drop {
-                    return;
-                }
-                if d.duplicate {
-                    // The copy trails the original by one jitter window.
-                    let lag = d.delay + f.config().reorder_jitter;
-                    self.dispatch(to.index(), frame::seal(&codec::to_bytes(&msg)), lag);
-                }
-                extra = d.delay;
-            }
-        }
-        self.dispatch(to.index(), frame::seal(&codec::to_bytes(&msg)), extra);
-    }
-
-    /// Re-injects an already-received message, bypassing fault
-    /// decisions and traffic accounting (it was both counted and
-    /// fault-rolled on its original trip).
-    fn requeue(&self, msg: Message) {
-        let _ = self.inbox_tx.send(msg);
-    }
-
-    fn try_recv(&self) -> Option<Message> {
-        let m = self.inbox.try_recv().ok();
-        if m.is_some() {
-            self.note_traffic();
-        }
-        m
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        let m = self.inbox.recv_timeout(timeout).ok();
-        if m.is_some() {
-            self.note_traffic();
-        }
-        m
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault.as_deref().map(|f| f.stats(self.me))
     }
 }

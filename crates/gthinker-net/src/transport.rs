@@ -31,8 +31,7 @@ pub struct NetStats {
     /// Messages received.
     pub msgs_received: AtomicU64,
     /// Vectored (`writev`-style) socket writes issued by the evented
-    /// data plane's I/O loop. 0 on the sim router and the threaded TCP
-    /// backend (which write one frame per syscall).
+    /// data plane's I/O loop. 0 on the sim router.
     pub writev_calls: AtomicU64,
     /// Frames that shared a vectored write with at least one other
     /// frame — the write-coalescing win. For each vectored write of

@@ -1,7 +1,6 @@
 //! The evented data plane's headline structural property: a worker's
 //! entire peer mesh is serviced by exactly **one** I/O thread,
-//! regardless of cluster size, where the threaded plane spends one
-//! reader thread per peer. Counted for real from `/proc/self/task`
+//! regardless of cluster size — no reader thread per peer. Counted for real from `/proc/self/task`
 //! while the mesh is up — all workers live in this test process, so
 //! the process-wide census is the per-worker figure times the worker
 //! count. This file holds a single `#[test]` so no concurrent test's
@@ -10,7 +9,7 @@
 
 use gthinker_graph::ids::WorkerId;
 use gthinker_net::fault::FaultConfig;
-use gthinker_net::tcp::{ClusterManifest, TcpBackend, TcpTransport};
+use gthinker_net::tcp::{ClusterManifest, TcpTransport};
 use gthinker_net::transport::Transport;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -43,10 +42,10 @@ fn await_threads(prefix: &str, want: usize) -> usize {
     }
 }
 
-/// Brings up an `N`-worker loopback mesh on `backend` and runs
+/// Brings up an `N`-worker loopback mesh and runs
 /// `census()` on worker 0's thread while every endpoint is alive (two
 /// barriers pin all workers in place around the count).
-fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
+fn census_mesh(census: impl Fn() + Send + Sync + 'static) {
     let (manifest, listeners) = ClusterManifest::loopback(N).expect("bind loopback");
     let gate = Arc::new(Barrier::new(N));
     let census = Arc::new(census);
@@ -59,13 +58,12 @@ fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
             let census = Arc::clone(&census);
             std::thread::spawn(move || {
                 let me = WorkerId(w as u16);
-                let mut t = TcpTransport::connect_on_with(
+                let mut t = TcpTransport::connect_on(
                     &manifest,
                     me,
                     FaultConfig::default(),
                     RENDEZVOUS,
                     listener,
-                    backend,
                 )
                 .expect("rendezvous");
                 let net = t.take_endpoint(me);
@@ -85,19 +83,10 @@ fn census_mesh(backend: TcpBackend, census: impl Fn() + Send + Sync + 'static) {
 
 #[test]
 fn evented_plane_runs_one_io_thread_per_worker() {
-    census_mesh(TcpBackend::Evented, || {
+    census_mesh(|| {
         assert_eq!(await_threads("tcp-io-", N), N, "one poll loop per hosted worker");
         assert_eq!(threads_named("tcp-read-"), 0, "no per-peer reader threads");
         assert_eq!(threads_named("tcp-delay-"), 0, "no delay-heap thread");
         assert_eq!(threads_named("tcp-crash-"), 0, "no crash-timer thread");
-    });
-    // The legacy plane, same census: n-1 readers per worker, no loop.
-    census_mesh(TcpBackend::Threaded, || {
-        assert_eq!(
-            await_threads("tcp-read-", N * (N - 1)),
-            N * (N - 1),
-            "one reader per directed link"
-        );
-        assert_eq!(threads_named("tcp-io-"), 0, "threaded plane has no poll loop");
     });
 }

@@ -24,7 +24,8 @@ fn main() {
     );
     let mut cfg = JobConfig::cluster(4, 2);
     cfg.sync_interval = Duration::from_millis(100);
-    let result = run_job_observed(Arc::new(TriangleApp), &graph, &cfg, |s| {
+    let result = run_job_observed(Arc::new(TriangleApp), &graph, &cfg, |m| {
+        let s = m.progress();
         println!(
             "{:>7.1}s {:>10} {:>10} {:>10} {:>10} {:>10}",
             s.elapsed.as_secs_f64(),

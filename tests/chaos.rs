@@ -191,7 +191,7 @@ fn lossy_wire_without_crash_completes_via_retries() {
 
 #[test]
 fn lossy_tcp_wire_completes_via_retries() {
-    use gthinker_core::{run_worker_process_on, ClusterRole};
+    use gthinker_core::{run_worker_process_source_on, ClusterRole};
     use gthinker_net::tcp::ClusterManifest;
 
     // The same seeded drop/dup injection, but on the real TCP loopback
@@ -221,9 +221,9 @@ fn lossy_tcp_wire_completes_via_retries() {
             .map(|(w, listener)| {
                 let (g, cfg, manifest) = (Arc::clone(&g), cfg.clone(), manifest.clone());
                 std::thread::spawn(move || {
-                    run_worker_process_on(
+                    run_worker_process_source_on(
                         Arc::new(TriangleApp),
-                        &g,
+                        &*g,
                         &cfg,
                         &manifest,
                         WorkerId(w as u16),
@@ -377,7 +377,7 @@ fn cluster_steals_survive_crash_and_recovery() {
 
 #[test]
 fn cluster_steals_survive_lossy_tcp_wire() {
-    use gthinker_core::{run_worker_process_on, ClusterRole};
+    use gthinker_core::{run_worker_process_source_on, ClusterRole};
     use gthinker_net::tcp::ClusterManifest;
 
     // The same skewed steal-forcing workload on the real TCP loopback
@@ -399,9 +399,9 @@ fn cluster_steals_survive_lossy_tcp_wire() {
             .map(|(w, listener)| {
                 let (g, cfg, manifest) = (Arc::clone(&g), cfg.clone(), manifest.clone());
                 std::thread::spawn(move || {
-                    run_worker_process_on(
+                    run_worker_process_source_on(
                         Arc::new(StealSkewApp),
-                        &g,
+                        &*g,
                         &cfg,
                         &manifest,
                         WorkerId(w as u16),

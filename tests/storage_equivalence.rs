@@ -8,7 +8,7 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{run_job_with_recovery_on, run_worker_process_source_on, ClusterRole};
+use gthinker_core::{run_job_with_recovery, run_worker_process_source_on, ClusterRole};
 use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
@@ -60,7 +60,7 @@ fn sim_both<A: App>(
     let ram = run_job(app(), g, &cfg).expect("ram job");
     assert!(matches!(ram.outcome, JobOutcome::Completed));
     let mapped_copy = MappedCopy::of(g, name);
-    let mapped = run_job_on(app(), mapped_copy.source(), &cfg).expect("mapped job");
+    let mapped = run_job(app(), mapped_copy.source(), &cfg).expect("mapped job");
     assert!(matches!(mapped.outcome, JobOutcome::Completed));
     (ram.global, mapped.global)
 }
@@ -146,9 +146,8 @@ fn recovery_on_mapped_graph_matches_fault_free_ram_run() {
         crash: Some(CrashSchedule { worker: WorkerId(1), after_messages: Some(60), after: None }),
         ..FaultConfig::default()
     };
-    let (result, report) =
-        run_job_with_recovery_on(Arc::new(TriangleApp), mapped.source(), &cfg, 8)
-            .expect("recovering mapped job");
+    let (result, report) = run_job_with_recovery(Arc::new(TriangleApp), mapped.source(), &cfg, 8)
+        .expect("recovering mapped job");
     assert_eq!(result.outcome, JobOutcome::Completed);
     assert_eq!(result.global, expected, "recovered mapped run must match the fault-free count");
     assert!(report.recoveries >= 1, "the crash must actually fire: {report:?}");

@@ -8,7 +8,10 @@ use gthinker_apps::{
     KPlexApp, MatchingApp, MaxCliqueApp, MaximalCliqueApp, Pattern, QuasiCliqueApp, TriangleApp,
 };
 use gthinker_core::prelude::*;
-use gthinker_core::{run_worker_process_on, ClusterRole, WorkerStats};
+use gthinker_core::{
+    run_worker_process, run_worker_process_source_on, ClusterRole, RecoveryOptions, WorkerStats,
+};
+use gthinker_graph::compressed::{write_compressed, CompressedGraph};
 use gthinker_graph::gen;
 use gthinker_graph::graph::Graph;
 use gthinker_graph::ids::WorkerId;
@@ -40,9 +43,9 @@ fn run_tcp_cluster<A: App + Send + Sync + 'static>(
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                run_worker_process_on(
+                run_worker_process_source_on(
                     app,
-                    &graph,
+                    &*graph,
                     &cfg,
                     &manifest,
                     WorkerId(w as u16),
@@ -172,9 +175,9 @@ fn cluster_metrics_reports_merge_losslessly() {
             let cfg = cfg.clone();
             let manifest = manifest.clone();
             std::thread::spawn(move || {
-                run_worker_process_on(
+                run_worker_process_source_on(
                     Arc::new(TriangleApp),
-                    &graph,
+                    &*graph,
                     &cfg,
                     &manifest,
                     WorkerId(w as u16),
@@ -225,7 +228,7 @@ fn manifest_size_mismatch_is_rejected() {
     let g = gen::gnp(20, 0.2, 3);
     let (manifest, mut listeners) = ClusterManifest::loopback(2).expect("bind");
     let cfg = JobConfig::cluster(3, 1); // says 3, manifest says 2
-    let err = run_worker_process_on(
+    let err = run_worker_process_source_on(
         Arc::new(TriangleApp),
         &g,
         &cfg,
@@ -236,4 +239,50 @@ fn manifest_size_mismatch_is_rejected() {
     )
     .expect_err("mismatch must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+/// A worker ID outside the manifest is an input error raised before
+/// any partitioning or dialing — on the in-RAM and the mapped source
+/// alike, and with or without crash recovery.
+#[test]
+fn out_of_range_worker_id_is_rejected() {
+    let g = gen::gnp(20, 0.2, 3);
+    let path = std::env::temp_dir().join(format!("gthinker-oor-{}.gtc", std::process::id()));
+    write_compressed(&g, &path).expect("encode");
+    let mapped = Arc::new(CompressedGraph::open(&path).expect("map"));
+    let cfg = JobConfig::cluster(2, 1);
+    let sources = [GraphSource::InMemory(&g), GraphSource::Mapped(Arc::clone(&mapped))];
+    for source in sources {
+        let (manifest, _listeners) = ClusterManifest::loopback(2).expect("bind");
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let err = run_worker_process_source_on(
+            Arc::new(TriangleApp),
+            source.clone(),
+            &cfg,
+            &manifest,
+            WorkerId(2),
+            Duration::from_secs(1),
+            listener,
+        )
+        .expect_err("worker 2 of 2 must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+
+        let mut recovering = cfg.clone();
+        recovering.checkpoint_dir = Some(std::env::temp_dir().join("gthinker-oor-unused"));
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let err = run_worker_process(
+            Arc::new(TriangleApp),
+            source,
+            &recovering,
+            &manifest,
+            WorkerId(2),
+            Duration::from_secs(1),
+            listener,
+            Some(RecoveryOptions::default()),
+            None,
+        )
+        .expect_err("worker 2 of 2 must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
